@@ -1,16 +1,8 @@
 """Benchmark-session env tuning (mirrors tests/conftest.py).
 
 Must run at import time, before the root conftest's ``spark`` fixture
-launches the JVM: modest shuffle parallelism for the G-lite inputs and no
-console progress bars in bench_output.txt.
+launches the JVM: modest shuffle parallelism for the G-lite inputs.
 """
 import os
 
 os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "16")
-if "spark.ui.showConsoleProgress" not in os.environ.get("PYSPARK_SUBMIT_ARGS", ""):
-    os.environ["PYSPARK_SUBMIT_ARGS"] = os.environ.get(
-        "PYSPARK_SUBMIT_ARGS", "pyspark-shell"
-    ).replace(
-        "pyspark-shell",
-        "--conf spark.ui.showConsoleProgress=false pyspark-shell",
-    )

@@ -56,8 +56,9 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
+    pre-JVM-launch). Configs that *are* honoured post-launch (shuffle
+    partitions, Arrow, broadcast threshold, no console progress bars) are
+    set here.
     Broadcast joins are disabled so papers about shuffle/join algorithms
     actually exercise the shuffle path at SF~=0.1; a reproduction that
     wants a broadcast join sets the threshold back for that query.
@@ -70,6 +71,7 @@ def spark() -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

@@ -15,7 +15,6 @@ Object ids are globally unique strings across nodes and edges (``N ∩ E = ∅``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -250,21 +249,3 @@ class SparkTPG:
         """PTO(G) = (N ∪ E) × Ω as ``(id, t)`` — all temporal objects,
         existing or not (the paper's navigation domain)."""
         return self.objects.select("id").crossJoin(self.domain_df())
-
-
-def merge_data(omega: tuple[int, int], parts: list[ITPGData]) -> ITPGData:
-    """Union several ITPGData fragments (disjoint object ids) into one."""
-    g = ITPGData(
-        omega=omega,
-        objects=pd.concat([p.objects for p in parts], ignore_index=True)
-        if parts
-        else _empty(OBJECT_COLS),
-        exist=pd.concat([p.exist for p in parts], ignore_index=True)
-        if parts
-        else _empty(EXIST_COLS),
-        props=pd.concat([p.props for p in parts], ignore_index=True)
-        if parts
-        else _empty(PROP_COLS),
-    )
-    g.validate()
-    return g

@@ -36,23 +36,16 @@ def coalesce_intervals(df: DataFrame, keys: list[str], s: str = "s", e: str = "e
 def intersect_intervals(
     a: DataFrame, b: DataFrame, on: list[str], s: str = "s", e: str = "e"
 ) -> DataFrame:
-    """Per-key interval intersection of two interval tables with identical
-    ``(on..., s, e)`` schemas. Output rows are the non-empty overlaps."""
-    bb = b
-    for c in (s, e):
-        bb = bb.withColumnRenamed(c, "_b_" + c)
-    joined = a.join(bb, on=on)
+    """Per-key interval intersection: ``a``'s rows with ``[s, e]`` narrowed
+    by each ``(on..., s, e)`` row of ``b`` on the same key. Output rows keep
+    ``a``'s columns and are the non-empty overlaps."""
+    bb = b.selectExpr(*[f"`{c}`" for c in on], f"{s} AS _b_s", f"{e} AS _b_e")
+    narrowed = {s: f"greatest({s}, _b_s) AS {s}", e: f"least({e}, _b_e) AS {e}"}
     return (
-        joined.withColumn(s, F.greatest(F.col(s), F.col("_b_" + s)))
-        .withColumn(e, F.least(F.col(e), F.col("_b_" + e)))
-        .filter(F.col(s) <= F.col(e))
-        .drop("_b_" + s, "_b_" + e)
+        a.join(bb, on=on)
+        .selectExpr(*[narrowed.get(c, f"`{c}`") for c in a.columns])
+        .filter(f"{s} <= {e}")
     )
-
-
-def explode_points(df: DataFrame, s: str = "s", e: str = "e", out: str = "t") -> DataFrame:
-    """Expand ``[s, e]`` interval rows into one row per time point."""
-    return df.withColumn(out, F.explode(F.sequence(F.col(s), F.col(e)))).drop(s, e)
 
 
 def complement_intervals(

@@ -14,21 +14,20 @@ interval-timestamped TPGs, decomposed exactly as in the paper:
 * **Step 3** — point-wise expansion, performed by the match layer
   (``match.py``) only when the query needs point-based output (Q6–Q12).
 
-The supported fragment is the one the paper implements ("all queries of
-Section IV"): path expressions with at most one temporal segment per
-root-to-leaf branch, structural parts built from tests, ``F``, ``B`` and
-unions. Anything outside (structural Kleene stars, nested path conditions,
-a second temporal segment) raises :class:`UnsupportedFragment`; the general
-point-based evaluator covers those.
+Every relation has one shape, ``(o1, o2, s1, e1, s2, e2, dmin, dmax)``: the
+path holds from ``(o1, t1)`` to ``(o2, t2)`` for every ``t1 ∈ [s1, e1]``,
+``t2 ∈ [s2, e2]`` with ``t2 − t1 ∈ [dmin, dmax]`` (``NULL`` band bounds
+mean ∓∞). A row is a box on ``t1``, a box on ``t2`` and a band on their
+difference, i.e. a difference-bound matrix (Dill 1989). Structural rows are
+the case ``dmin = dmax = 0``. Steps 1 and 2 act on the ``t2`` side; a
+temporal block is a :func:`compose` with a step ``t2 → t3``, which
+eliminates ``t2`` exactly (Fourier–Motzkin over unit-coefficient difference
+constraints), so any number of temporal segments per link stays in the
+fragment.
 
-Interval relations come in two shapes:
-
-* *aligned* — ``(o1, o2, s, e)``: for every ``t ∈ [s, e]`` the path holds
-  from ``(o1, t)`` to ``(o2, t)`` (purely structural, times equal);
-* *offset* — ``(o1, o2, s1, e1, s2, e2, dmin, dmax)``: the path holds from
-  ``(o1, t1)`` to ``(o2, t2)`` for every ``t1 ∈ [s1, e1]``,
-  ``t2 ∈ [s2, e2]`` with ``t2 − t1 ∈ [dmin, dmax]`` (``NULL`` bounds mean
-  ∓∞).
+Outside the fragment (structural Kleene stars, nested path conditions) the
+evaluator raises :class:`UnsupportedFragment`; the general point-based
+evaluator covers those.
 """
 from __future__ import annotations
 
@@ -39,7 +38,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..tpg.model import SparkITPG
-from ..tpg.sparkutil import complement_intervals
+from ..tpg.sparkutil import complement_intervals, intersect_intervals
 from . import ast
 
 
@@ -47,31 +46,49 @@ class UnsupportedFragment(Exception):
     """The expression falls outside the Section VI interval fragment."""
 
 
-ALIGNED_COLS = ["o1", "o2", "s", "e"]
-OFFSET_COLS = ["o1", "o2", "s1", "e1", "s2", "e2", "dmin", "dmax"]
+REL_COLS = ["o1", "o2", "s1", "e1", "s2", "e2", "dmin", "dmax"]
 
 
-@dataclass
-class LinkRel:
-    """An evaluated path link: aligned or offset interval relation."""
+def _sql(v: Optional[int]) -> str:
+    """An optional bound as a SQL literal (``None`` is ±∞, i.e. ``NULL``)."""
+    return "CAST(NULL AS BIGINT)" if v is None else str(v)
 
-    df: DataFrame
-    offset: bool
 
-    def lifted(self) -> DataFrame:
-        """The relation in offset schema (aligned rows get dmin=dmax=0)."""
-        if self.offset:
-            return self.df.select(*OFFSET_COLS)
-        return self.df.select(
-            "o1",
-            "o2",
-            F.col("s").alias("s1"),
-            F.col("e").alias("e1"),
-            F.col("s").alias("s2"),
-            F.col("e").alias("e2"),
-            F.lit(0).cast("long").alias("dmin"),
-            F.lit(0).cast("long").alias("dmax"),
+def compose(
+    df: DataFrame,
+    us: str,
+    ue: str,
+    vs: str,
+    ve: str,
+    elo: str,
+    ehi: str,
+    keep: tuple = ("o1", "o2"),
+) -> DataFrame:
+    """Compose each row over ``(t1, t2)`` with a step to ``t3`` where
+    ``t2 ∈ [us, ue]``, ``t3 ∈ [vs, ve]`` and ``t3 − t2 ∈ [elo, ehi]``.
+
+    Eliminating ``t2`` leaves one box/box/band row over ``(t1, t3)``,
+    returned as ``s1, e1, s2, e2, dmin, dmax`` after the ``keep`` columns;
+    rows without a witness ``t2`` or with an empty box are dropped. The
+    bounds and ``keep`` are SQL expressions over ``df``'s columns: one
+    ``selectExpr`` costs a few Py4J calls where a ``select`` of ``Column``
+    objects costs several per column. ``NULL`` bounds are ±∞:
+    ``greatest``/``least`` skip them and sums with them stay ``NULL``.
+    """
+    lo, hi = f"greatest(s2, {us})", f"least(e2, {ue})"
+    return (
+        df.filter(f"{lo} <= {hi}")
+        .selectExpr(
+            *keep,
+            f"greatest(s1, {lo} - dmax) AS s1",
+            f"least(e1, {hi} - dmin) AS e1",
+            f"greatest({vs}, {lo} + {elo}) AS s2",
+            f"least({ve}, {hi} + {ehi}) AS e2",
+            f"dmin + {elo} AS dmin",
+            f"dmax + {ehi} AS dmax",
         )
+        .filter("s1 <= e1 AND s2 <= e2")
+    )
 
 
 @dataclass(frozen=True)
@@ -157,18 +174,8 @@ class IntervalEvaluator:
                     F.lit(min(hi, test.k - 1)).cast("long").alias("e"),
                 )
         elif isinstance(test, ast.AndTest):
-            a, b = self.test_table(test.left), self.test_table(test.right)
-            bb = b.select(
-                "id", F.col("s").alias("_bs"), F.col("e").alias("_be")
-            )
-            out = (
-                a.join(bb, "id")
-                .select(
-                    "id",
-                    F.greatest("s", "_bs").alias("s"),
-                    F.least("e", "_be").alias("e"),
-                )
-                .filter(F.col("s") <= F.col("e"))
+            out = intersect_intervals(
+                self.test_table(test.left), self.test_table(test.right), ["id"]
             )
         elif isinstance(test, ast.OrTest):
             out = self.test_table(test.left).unionByName(self.test_table(test.right))
@@ -187,40 +194,38 @@ class IntervalEvaluator:
         return out
 
     # ------------------------------------------------------------- links
-    def eval_link(self, path: ast.Path) -> LinkRel:
-        """Evaluate a path link (Steps 1 and 2) to an interval relation."""
+    def eval_link(self, path: ast.Path) -> DataFrame:
+        """Evaluate a path link (Steps 1 and 2) to an interval relation
+        with columns :data:`REL_COLS`."""
         parts = list(path.parts) if isinstance(path, ast.Seq) else [path]
         state = self._seed(parts)
         for part in parts:
             state = self._apply(state, part)
         return state
 
-    def _seed(self, parts: list[ast.Path]) -> LinkRel:
-        """Initial aligned diagonal. When the link starts with a test (all
-        MATCH segments do), seed from its validity intervals instead of the
-        full PTO diagonal."""
-        lo, hi = self.g.omega
+    def _seed(self, parts: list[ast.Path]) -> DataFrame:
+        """Initial structural diagonal. When the link starts with a test
+        (all MATCH segments do), seed from its validity intervals instead
+        of the full PTO diagonal."""
+        ids = None
         if parts and isinstance(parts[0], ast.TestExpr):
             try:
-                tt = self.test_table(parts[0].test)
-            except UnsupportedFragment:
-                tt = None
-            if tt is not None:
-                df = tt.select(
-                    F.col("id").alias("o1"), F.col("id").alias("o2"), "s", "e"
-                )
+                ids = self.test_table(parts[0].test)
                 parts.pop(0)
-                return LinkRel(df, offset=False)
-        df = self.g.objects.select(
-            F.col("id").alias("o1"),
-            F.col("id").alias("o2"),
-            F.lit(lo).cast("long").alias("s"),
-            F.lit(hi).cast("long").alias("e"),
+            except UnsupportedFragment:
+                pass
+        if ids is None:
+            lo, hi = self.g.omega
+            ids = self.g.objects.selectExpr(
+                "id", f"CAST({lo} AS BIGINT) AS s", f"CAST({hi} AS BIGINT) AS e"
+            )
+        return ids.selectExpr(
+            "id AS o1", "id AS o2", "s AS s1", "e AS e1", "s AS s2", "e AS e2",
+            "CAST(0 AS BIGINT) AS dmin", "CAST(0 AS BIGINT) AS dmax",
         )
-        return LinkRel(df, offset=False)
 
     # ------------------------------------------------------------ apply
-    def _apply(self, state: LinkRel, part: ast.Path) -> LinkRel:
+    def _apply(self, state: DataFrame, part: ast.Path) -> DataFrame:
         atom = _as_temporal_atom(part)
         if atom is not None:
             return self._apply_temporal(state, atom)
@@ -235,16 +240,7 @@ class IntervalEvaluator:
                 state = self._apply(state, p)
             return state
         if isinstance(part, ast.Union):
-            branches = [self._apply(state, p) for p in part.parts]
-            if all(not b.offset for b in branches):
-                df = branches[0].df
-                for b in branches[1:]:
-                    df = df.unionByName(b.df)
-                return LinkRel(df, offset=False)
-            df = branches[0].lifted()
-            for b in branches[1:]:
-                df = df.unionByName(b.lifted())
-            return LinkRel(df, offset=True)
+            return _union([self._apply(state, p) for p in part.parts])
         if isinstance(part, ast.Repeat):
             if part.lo == 0 and part.hi == 0:
                 return state
@@ -253,95 +249,48 @@ class IntervalEvaluator:
             )
         raise TypeError(f"unknown path {part!r}")
 
-    def _apply_test(self, state: LinkRel, test: ast.Test) -> LinkRel:
-        tt = self.test_table(test).select(
-            F.col("id").alias("o2"),
-            F.col("s").alias("_ts"),
-            F.col("e").alias("_te"),
-        )
-        s, e = ("s2", "e2") if state.offset else ("s", "e")
-        df = (
-            state.df.join(tt, "o2")
-            .withColumn(s, F.greatest(F.col(s), F.col("_ts")))
-            .withColumn(e, F.least(F.col(e), F.col("_te")))
-            .filter(F.col(s) <= F.col(e))
-            .drop("_ts", "_te")
-        )
-        return LinkRel(df, state.offset)
+    def _apply_test(self, state: DataFrame, test: ast.Test) -> DataFrame:
+        tt = self.test_table(test).selectExpr("id AS o2", "s AS s2", "e AS e2")
+        return intersect_intervals(state, tt, ["o2"], "s2", "e2")
 
-    def _apply_move(self, state: LinkRel, op: str) -> LinkRel:
+    def _apply_move(self, state: DataFrame, op: str) -> DataFrame:
         """Structural step F/B: node→edge and edge→node joins; intervals
         unchanged (F/B impose no existence by themselves)."""
-        if op == "F":
-            n2e = self.edges.select(F.col("src").alias("o2"), F.col("id").alias("_new"))
-            e2n = self.edges.select(F.col("id").alias("o2"), F.col("tgt").alias("_new"))
-        else:
-            n2e = self.edges.select(F.col("tgt").alias("o2"), F.col("id").alias("_new"))
-            e2n = self.edges.select(F.col("id").alias("o2"), F.col("src").alias("_new"))
-        hop = n2e.unionByName(e2n)
-        df = (
-            state.df.join(hop, "o2")
-            .drop("o2")
-            .withColumnRenamed("_new", "o2")
+        src, tgt = ("src", "tgt") if op == "F" else ("tgt", "src")
+        hop = self.edges.selectExpr(f"{src} AS o2", "id AS _new").unionByName(
+            self.edges.selectExpr("id AS o2", f"{tgt} AS _new")
         )
-        cols = OFFSET_COLS if state.offset else ALIGNED_COLS
-        return LinkRel(df.select(*cols), state.offset)
+        return state.join(hop, "o2").selectExpr("o1", "_new AS o2", *REL_COLS[2:])
 
-    def _apply_temporal(self, state: LinkRel, atom: _TemporalAtom) -> LinkRel:
-        """Step 2: interval arithmetic for a temporal navigation block."""
-        if state.offset:
-            raise UnsupportedFragment(
-                "more than one temporal segment per branch is outside the fragment"
-            )
-        lo_dom, hi_dom = self.g.omega
-        lo1 = max(atom.lo, 1)
+    def _apply_temporal(self, state: DataFrame, atom: _TemporalAtom) -> DataFrame:
+        """Step 2: interval arithmetic for a temporal navigation block.
+
+        ``(N/∃)[n,m]`` moves ``t2`` to ``t3`` with ``t3 − t2 ∈ [max(n,1), m]``
+        and every step ``t2+1 … t3`` inside one existence interval
+        ``[a, b]`` of ``o2``, i.e. ``t2 ∈ [a−1, b−1]`` and ``t3 ∈ [a, b]``;
+        ``P`` is the mirror image. Without ``∃``, ``[a, b]`` is Ω.
+        """
         parts: list[DataFrame] = []
         if atom.lo == 0:
             # zero repetitions: stay put, no existence requirement.
-            parts.append(LinkRel(state.df, offset=False).lifted())
+            parts.append(state)
         if atom.hi is None or atom.hi >= 1:
             if atom.require_exist:
-                ex = self.g.exist.select(
-                    F.col("id").alias("o2"), F.col("s").alias("a"), F.col("e").alias("b")
-                )
-                base = state.df.join(ex, "o2")
+                ex = self.g.exist.selectExpr("id AS o2", "s AS _a", "e AS _b")
+                base, a, b = state.join(ex, "o2"), "_a", "_b"
             else:
-                base = state.df.withColumn("a", F.lit(lo_dom).cast("long")).withColumn(
-                    "b", F.lit(hi_dom).cast("long")
-                )
-            hi_lit = F.lit(atom.hi).cast("long") if atom.hi is not None else F.lit(None).cast("long")
+                base, (a, b) = state, map(str, self.g.omega)
+            lo1, hi = max(atom.lo, 1), atom.hi
             if atom.axis == "N":
-                # steps t+1 .. t' all inside [a, b]; t' - t ∈ [lo1, hi]
-                s1 = F.greatest(F.col("s"), F.col("a") - 1)
-                e1 = F.least(F.col("e"), F.col("b") - 1)
-                s2 = F.greatest(F.col("a"), s1 + lo1)
-                e2 = F.least(F.col("b"), e1 + hi_lit)
-                dmin = F.lit(lo1).cast("long")
-                dmax = hi_lit
+                parts.append(compose(base, f"{a} - 1", f"{b} - 1", a, b, _sql(lo1), _sql(hi)))
             else:
-                # steps t-1 .. t' all inside [a, b]; t - t' ∈ [lo1, hi]
-                s1 = F.greatest(F.col("s"), F.col("a") + 1)
-                e1 = F.least(F.col("e"), F.col("b") + 1)
-                s2 = F.greatest(F.col("a"), s1 - hi_lit)
-                e2 = F.least(F.col("b"), e1 - lo1)
-                dmin = -hi_lit
-                dmax = F.lit(-lo1).cast("long")
-            moved = (
-                base.select(
-                    "o1",
-                    "o2",
-                    s1.alias("s1"),
-                    e1.alias("e1"),
-                    s2.alias("s2"),
-                    e2.alias("e2"),
-                    dmin.alias("dmin"),
-                    dmax.alias("dmax"),
-                )
-                .filter(F.col("s1") <= F.col("e1"))
-                .filter(F.col("s2") <= F.col("e2"))
-            )
-            parts.append(moved)
-        df = parts[0]
-        for p in parts[1:]:
-            df = df.unionByName(p)
-        return LinkRel(df, offset=True)
+                neg_hi = None if hi is None else -hi
+                parts.append(compose(base, f"{a} + 1", f"{b} + 1", a, b, _sql(neg_hi), _sql(-lo1)))
+        return _union(parts)
+
+
+def _union(dfs: list[DataFrame]) -> DataFrame:
+    out = dfs[0]
+    for df in dfs[1:]:
+        out = out.unionByName(df)
+    return out

@@ -24,7 +24,13 @@ from pyspark.sql import functions as F
 
 from ..tpg.sparkutil import coalesce_intervals
 from . import ast
-from .interval_eval import IntervalEvaluator, LinkRel, UnsupportedFragment
+from .interval_eval import (
+    REL_COLS,
+    IntervalEvaluator,
+    UnsupportedFragment,
+    _contains_temporal,
+    compose,
+)
 from .parser import MatchQuery
 from .semantics import LocalTPG, eval_path
 from .spark_eval import PointEvaluator
@@ -138,21 +144,26 @@ def eval_match_local(g: LocalTPG, q: MatchQuery) -> set[tuple]:
 # -------------------------------------------------------- interval backend
 
 
+def _q(name: str) -> str:
+    """A column name quoted for a SQL expression."""
+    return f"`{name}`"
+
+
 @dataclass
 class IntervalBindings:
     """Composed interval relation for a whole MATCH chain (Steps 1–2).
 
-    ``df`` carries one object column per *captured* variable plus the
-    interval columns: aligned chains have ``(s, e)`` (every variable's time
-    equals ``t ∈ [s, e]``); offset chains have
-    ``(s1, e1, s2, e2, dmin, dmax)`` with pre-temporal variables at ``t1``
-    and post-temporal variables at ``t2``.
+    ``df`` carries one object column per captured variable plus the
+    box/box/band columns ``(s1, e1, s2, e2, dmin, dmax)`` of
+    :mod:`.interval_eval`. Variables before the chain's temporal link
+    (``vars_pre``) sit at ``t1``, the rest (``vars_post``) at ``t2``; a
+    chain without a temporal link has every variable in ``vars_pre`` and
+    ``t2 = t1``.
     """
 
     df: DataFrame
     vars_pre: list[str]
     vars_post: list[str]
-    offset: bool
 
     @property
     def vars(self) -> list[str]:
@@ -171,164 +182,89 @@ class IntervalBindings:
         paper's Table II output sizes for the temporal-navigation queries
         are bag counts — Q11's 22.9M tuples exceed the graph's 4.8M
         (person, time) pairs, so its dataflow implementation does not
-        deduplicate — and the benchmark harness mirrors that convention.
+        deduplicate — and the benchmark harness mirrors that convention:
+        every valid ``(t1, t2)`` witness pair is expanded, then projected
+        to the captured variables.
         """
-        cols: list = []
-        for v in self.vars:
-            cols += [v, f"{v}_time"]
-        if not self.offset:
-            df = self.df.withColumn("t", F.explode(F.sequence("s", "e")))
-            out = df.select(
-                *[
-                    c
-                    for v in self.vars
-                    for c in (F.col(v), F.col("t").alias(f"{v}_time"))
-                ]
+        if distinct and not (self.vars_pre and self.vars_post):
+            out = self._projected().selectExpr(
+                *map(_q, self.vars), "explode(sequence(s, e)) AS t"
             )
-            return out.distinct() if distinct else out
-        t1lo = F.greatest(F.col("s1"), F.col("s2") - F.col("dmax"))
-        t1hi = F.least(F.col("e1"), F.col("e2") - F.col("dmin"))
-        if not distinct:
-            # bag semantics: expand full (t1, t2) witness pairs, then
-            # project to the captured variables (the paper's accounting).
-            return self._expand_pairs(t1lo, t1hi)
-        if not self.vars_post:
-            df = (
-                self.df.withColumn("_lo", t1lo)
-                .withColumn("_hi", t1hi)
-                .filter(F.col("_lo") <= F.col("_hi"))
-                .withColumn("t1", F.explode(F.sequence("_lo", "_hi")))
-            )
-            out = df.select(
-                *[
-                    c
-                    for v in self.vars_pre
-                    for c in (F.col(v), F.col("t1").alias(f"{v}_time"))
-                ]
-            )
-            return out.distinct() if distinct else out
-        if not self.vars_pre:
-            t2lo = F.greatest(F.col("s2"), F.col("s1") + F.col("dmin"))
-            t2hi = F.least(F.col("e2"), F.col("e1") + F.col("dmax"))
-            df = (
-                self.df.withColumn("_lo", t2lo)
-                .withColumn("_hi", t2hi)
-                .filter(F.col("_lo") <= F.col("_hi"))
-                .withColumn("t2", F.explode(F.sequence("_lo", "_hi")))
-            )
-            out = df.select(
-                *[
-                    c
-                    for v in self.vars_post
-                    for c in (F.col(v), F.col("t2").alias(f"{v}_time"))
-                ]
-            )
-            return out.distinct() if distinct else out
-        return self._expand_pairs(t1lo, t1hi).distinct()
+            times = {v: "t" for v in self.vars}
+        else:
+            out = self._expand_pairs()
+            times = {**{v: "t1" for v in self.vars_pre}, **{v: "t2" for v in self.vars_post}}
+        out = out.selectExpr(
+            *[c for v in self.vars for c in (_q(v), f"{times[v]} AS {_q(v + '_time')}")]
+        )
+        return out.distinct() if distinct else out
 
-    def _expand_pairs(self, t1lo, t1hi) -> DataFrame:
-        """Expand every valid (t1, t2) witness pair and project to the
-        captured variable columns (no dedup)."""
-        df = (
-            self.df.withColumn("_lo", t1lo)
-            .withColumn("_hi", t1hi)
-            .filter(F.col("_lo") <= F.col("_hi"))
-            .withColumn("t1", F.explode(F.sequence("_lo", "_hi")))
+    def _projected(self) -> DataFrame:
+        """``(vars..., s, e)``: each row projected onto the time of the
+        one side that holds every captured variable."""
+        if self.vars_post:
+            lo, hi = "greatest(s2, s1 + dmin)", "least(e2, e1 + dmax)"
+        else:
+            lo, hi = "greatest(s1, s2 - dmax)", "least(e1, e2 - dmin)"
+        return self.df.selectExpr(
+            *map(_q, self.vars), f"{lo} AS s", f"{hi} AS e"
+        ).filter("s <= e")
+
+    def _expand_pairs(self) -> DataFrame:
+        """``(vars..., t1, t2)``: every valid witness pair of every row."""
+        lo1, hi1 = "greatest(s1, s2 - dmax)", "least(e1, e2 - dmin)"
+        lo2, hi2 = "greatest(s2, t1 + dmin)", "least(e2, t1 + dmax)"
+        vs = list(map(_q, self.vars))
+        return (
+            self.df.filter(f"{lo1} <= {hi1}")
+            .selectExpr(*vs, "s2", "e2", "dmin", "dmax", f"explode(sequence({lo1}, {hi1})) AS t1")
+            .filter(f"{lo2} <= {hi2}")
+            .selectExpr(*vs, "t1", f"explode(sequence({lo2}, {hi2})) AS t2")
         )
-        t2lo = F.greatest(F.col("s2"), F.col("t1") + F.col("dmin"))
-        t2hi = F.least(F.col("e2"), F.col("t1") + F.col("dmax"))
-        df = (
-            df.withColumn("_lo2", t2lo)
-            .withColumn("_hi2", t2hi)
-            .filter(F.col("_lo2") <= F.col("_hi2"))
-            .withColumn("t2", F.explode(F.sequence("_lo2", "_hi2")))
-        )
-        sel = []
-        for v in self.vars_pre:
-            sel += [F.col(v), F.col("t1").alias(f"{v}_time")]
-        for v in self.vars_post:
-            sel += [F.col(v), F.col("t2").alias(f"{v}_time")]
-        return df.select(*sel)
 
     def coalesced(self) -> DataFrame:
-        """Temporally coalesced output for purely structural queries
-        (Q1–Q5 style): one row per variable tuple and maximal interval."""
-        if self.offset:
-            raise UnsupportedFragment("coalesced output requires an aligned chain")
-        return coalesce_intervals(self.df.select(*self.vars, "s", "e"), self.vars)
+        """Temporally coalesced output: one row per variable tuple and
+        maximal interval (Q1–Q5 style). Needs every captured variable on
+        one side of the chain."""
+        if self.vars_pre and self.vars_post:
+            raise UnsupportedFragment(
+                "coalesced output needs every captured variable at one time"
+            )
+        return coalesce_intervals(self._projected(), self.vars)
 
 
 def eval_match_interval(ev: IntervalEvaluator, q: MatchQuery) -> IntervalBindings:
-    """Evaluate the chain on the interval backend (Steps 1–2 only)."""
+    """Evaluate the chain on the interval backend (Steps 1–2 only).
+
+    Each link relation is joined to the chain on the shared pattern and
+    composed with it (:func:`.interval_eval.compose`). At most one link may
+    be temporal: a variable captured between two temporal links would need
+    a third time column.
+    """
     segs = segment_asts(q)
     pats = q.patterns
+    temporal = [i for i, s in enumerate(segs) if _contains_temporal(s)]
+    if len(temporal) > 1:
+        raise UnsupportedFragment("more than one temporal link in a MATCH chain")
+    split = temporal[0] + 1 if temporal else len(pats)
+    vars_pre = [p.var for p in pats[:split] if p.var]
+    vars_post = [p.var for p in pats[split:] if p.var]
     links = [ev.eval_link(s) for s in segs]
 
-    if len(pats) == 1:
-        v = pats[0].var
-        df = links[0].df.select(F.col("o1").alias(v), "s", "e")
-        return IntervalBindings(df, [v], [], offset=False)
-
-    def var_cols(df: DataFrame, idx: int, col: str) -> DataFrame:
+    def named(idx: int, col: str) -> list[str]:
         v = pats[idx].var
-        return df.withColumn(v, F.col(col)) if v else df
+        return [f"{col} AS {_q(v)}"] if v else []
 
-    first = links[0]
-    acc = var_cols(first.df, 0, "o1")
-    acc = var_cols(acc, 1, "o2")
-    acc = acc.withColumnRenamed("o2", "_cur").drop("o1")
-    offset = first.offset
-    split_at = 1 if offset else None  # patterns > split_at-1 are post-temporal
+    box = REL_COLS[2:]
+    if len(pats) == 1:
+        return IntervalBindings(links[0].selectExpr(*named(0, "o1"), *box), vars_pre, vars_post)
+    acc = links[0].selectExpr(*named(0, "o1"), *named(1, "o2"), "o2 AS _cur", *box)
     for i in range(1, len(links)):
-        lr: LinkRel = links[i]
-        if lr.offset and offset:
-            raise UnsupportedFragment(
-                "more than one temporal link in a MATCH chain"
-            )
-        rel = lr.df
-        if lr.offset:
-            rel = rel.select(
-                F.col("o1").alias("_cur"),
-                F.col("o2").alias("_nxt"),
-                F.col("s1").alias("_js"),
-                F.col("e1").alias("_je"),
-                "s2",
-                "e2",
-                "dmin",
-                "dmax",
-            )
-            # state is aligned here (offset∘offset was excluded above)
-            acc = (
-                acc.join(rel, on="_cur")
-                .withColumn("s1", F.greatest(F.col("s"), F.col("_js")))
-                .withColumn("e1", F.least(F.col("e"), F.col("_je")))
-                .filter(F.col("s1") <= F.col("e1"))
-                .drop("s", "e", "_js", "_je", "_cur")
-                .withColumnRenamed("_nxt", "_cur")
-            )
-            offset = True
-            split_at = i + 1
-        else:
-            rel = rel.select(
-                F.col("o1").alias("_cur"),
-                F.col("o2").alias("_nxt"),
-                F.col("s").alias("_js"),
-                F.col("e").alias("_je"),
-            )
-            s, e = ("s2", "e2") if offset else ("s", "e")
-            acc = (
-                acc.join(rel, on="_cur")
-                .withColumn(s, F.greatest(F.col(s), F.col("_js")))
-                .withColumn(e, F.least(F.col(e), F.col("_je")))
-                .filter(F.col(s) <= F.col(e))
-                .drop("_js", "_je", "_cur")
-                .withColumnRenamed("_nxt", "_cur")
-            )
-        acc = var_cols(acc, i + 1, "_cur")
-    acc = acc.drop("_cur")
-    named = [(j, p.var) for j, p in enumerate(pats) if p.var]
-    if split_at is None:
-        return IntervalBindings(acc, [v for _, v in named], [], offset=False)
-    vars_pre = [v for j, v in named if j < split_at]
-    vars_post = [v for j, v in named if j >= split_at]
-    return IntervalBindings(acc, vars_pre, vars_post, offset=True)
+        rel = links[i].selectExpr("o1 AS _cur", "o2 AS _nxt", *[f"{c} AS _l{c}" for c in box])
+        seen = [_q(p.var) for p in pats[: i + 1] if p.var]
+        acc = compose(
+            acc.join(rel, "_cur"),
+            *[f"_l{c}" for c in box],
+            keep=(*seen, *named(i + 1, "_nxt"), "_nxt AS _cur"),
+        )
+    return IntervalBindings(acc.drop("_cur"), vars_pre, vars_post)

@@ -1,4 +1,5 @@
-"""DuckDB SQL equivalents of Q1–Q12 — the independent correctness oracle.
+"""DuckDB SQL equivalents of Q1–Q12 and NEAR — the independent correctness
+oracle.
 
 Each query of Section IV is re-expressed as plain SQL over the
 point-exploded wide tables produced by ``ITPGData.point_tables()``:
@@ -131,6 +132,28 @@ ORACLE_SQL: dict[str, str] = {
         JOIN edges_pt e2 ON e2.tgt = r.id AND e2.t = r.t AND e2.label = 'visits'
         JOIN fw ON fw.id = e2.src AND fw.t = e2.t
         WHERE hx.{_PERSON} AND hx.risk = 'high'
+    """,
+    "NEAR": f"""
+        WITH RECURSIVE back(id, t0, t, d) AS (
+            SELECT id, t, t, 0 FROM nodes_pt WHERE {_PERSON}
+            UNION
+            SELECT back.id, back.t0, n.t, back.d + 1
+            FROM back JOIN nodes_pt n ON n.id = back.id AND n.t = back.t - 1
+            WHERE back.d < 4
+        ),
+        fw(x, x_time, id, t, d) AS (
+            SELECT back.id, back.t0, e.tgt, e.t, 0
+            FROM back
+            JOIN edges_pt e ON e.src = back.id AND e.t = back.t AND e.label = 'meets'
+            UNION
+            SELECT fw.x, fw.x_time, n.id, n.t, fw.d + 1
+            FROM fw JOIN nodes_pt n ON n.id = fw.id AND n.t = fw.t + 1
+            WHERE fw.d < 4
+        )
+        SELECT DISTINCT fw.x AS x, fw.x_time AS x_time, y.id AS y, y.t AS y_time
+        FROM fw
+        JOIN nodes_pt y ON y.id = fw.id AND y.t = fw.t
+        WHERE y.{_PERSON}
     """,
 }
 

@@ -8,7 +8,8 @@ positive for an infectious disease 1 hour prior to the meeting" (time unit
 Q11/Q12's ``NEXT[0,12]``.
 
 ``INTRO`` is the contact-tracing query from Section I-A (Q9 with the
-positive contact bound to ``y``).
+positive contact bound to ``y``). ``Q7R`` and ``NEAR`` are not in the paper's
+Table II; ``NEAR`` has a temporal segment on both sides of a ``meets`` hop.
 """
 from __future__ import annotations
 
@@ -56,6 +57,12 @@ QUERIES: dict[str, str] = {
     # Q7 as rewritten in the paper with explicit FWD/BWD operators.
     "Q7R": (
         "MATCH (x:Person {test = 'pos'})-/PREV/FWD/:visits/FWD/-(z:Room) "
+        "ON contact_tracing"
+    ),
+    # Two temporal segments in one link: x met y at most 4 steps ago, and
+    # y is bound at most 4 steps after that meeting.
+    "NEAR": (
+        "MATCH (x:Person)-/PREV[0,4]/FWD/:meets/FWD/NEXT[0,4]/-(y:Person) "
         "ON contact_tracing"
     ),
 }

@@ -1,20 +1,12 @@
 """Shared fixtures for the test suite.
 
 The SparkSession itself comes from the root conftest's ``spark`` fixture.
-At import time (before the session is created) we tune two env-controlled
-settings the root conftest honours: fewer shuffle partitions for the tiny
-test inputs, and no console progress bars (keeps test_output.txt legible).
+At import time (before the session is created) we lower the shuffle
+partition count the root conftest honours, for the tiny test inputs.
 """
 import os
 
 os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "8")
-if "spark.ui.showConsoleProgress" not in os.environ.get("PYSPARK_SUBMIT_ARGS", ""):
-    os.environ["PYSPARK_SUBMIT_ARGS"] = os.environ.get(
-        "PYSPARK_SUBMIT_ARGS", "pyspark-shell"
-    ).replace(
-        "pyspark-shell",
-        "--conf spark.ui.showConsoleProgress=false pyspark-shell",
-    )
 
 import pytest  # noqa: E402
 
@@ -32,7 +24,7 @@ from repro.trpq.match import (  # noqa: E402
 from repro.trpq.semantics import LocalTPG  # noqa: E402
 from repro.trpq.spark_eval import PointEvaluator  # noqa: E402
 
-ALL_QUERIES = tuple(Q.TABLE2) + ("INTRO", "Q7R")
+ALL_QUERIES = tuple(Q.TABLE2) + ("INTRO", "Q7R", "NEAR")
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 fragment boundaries and the coalesced-output conventions of Table II."""
 import pytest
 
+from repro.tpg.model import ITPGData, SparkITPG
 from repro.trpq import ast
 from repro.trpq import queries as Q
 from repro.trpq.interval_eval import IntervalEvaluator, UnsupportedFragment
@@ -10,7 +11,7 @@ from repro.trpq.match import (
     eval_match_local,
     out_columns,
 )
-from repro.trpq.semantics import eval_path as ref_eval
+from repro.trpq.semantics import LocalTPG, eval_path as ref_eval
 from tests.conftest import ALL_QUERIES
 
 
@@ -33,6 +34,18 @@ def test_gen_graph_matches_reference(name, gen_interval_ev, gen_local):
     assert got == eval_match_local(gen_local, q)
 
 
+def link_points(rows) -> set[tuple]:
+    """Expand box/box/band rows to their ``(o1, t1, o2, t2)`` tuples."""
+    got = set()
+    for row in rows:
+        lo = row["dmin"] if row["dmin"] is not None else -(10**9)
+        hi = row["dmax"] if row["dmax"] is not None else 10**9
+        for t1 in range(row["s1"], row["e1"] + 1):
+            for t2 in range(max(row["s2"], t1 + lo), min(row["e2"], t1 + hi) + 1):
+                got.add((row["o1"], t1, row["o2"], t2))
+    return got
+
+
 class TestLinkRelations:
     """eval_link against the reference ⟦·⟧ (expanded to points)."""
 
@@ -53,20 +66,54 @@ class TestLinkRelations:
         ast.seq(ast.TestExpr(ast.NotTest(ast.EXISTS)), ast.N),
         ast.seq(ast.TestExpr(ast.AndTest(ast.NODE, ast.LtTest(5))), ast.Repeat(ast.N, 0, 3)),
         ast.seq(ast.TestExpr(ast.EXISTS), ast.Repeat(ast.P, 2, None)),
+        # several temporal segments in one link
+        ast.seq(
+            ast.TestExpr(ast.NODE),
+            ast.Repeat(ast.seq(ast.N, ast.EXISTS), 0, None),
+            ast.F,
+            ast.F,
+            ast.Repeat(ast.seq(ast.P, ast.EXISTS), 0, None),
+        ),
+        ast.seq(
+            ast.TestExpr(ast.EXISTS),
+            ast.Repeat(ast.seq(ast.P, ast.EXISTS), 0, None),
+            ast.F,
+            ast.AndTest(ast.LabelTest("meets"), ast.EXISTS),
+            ast.F,
+            ast.Repeat(ast.seq(ast.N, ast.EXISTS), 0, 12),
+            ast.TestExpr(ast.PropTest("test", "pos")),
+        ),
+        ast.seq(
+            ast.TestExpr(ast.EXISTS),
+            ast.N,
+            ast.N,
+            ast.P,
+            ast.Repeat(ast.P, 0, 2),
+            ast.TestExpr(ast.EXISTS),
+        ),
     ]
 
     @pytest.mark.parametrize("idx", range(len(LINKS)))
     def test_link_matches_reference(self, idx, fig1_interval_ev, fig1_local):
         link = self.LINKS[idx]
-        lr = fig1_interval_ev.eval_link(link)
-        got = set()
-        for row in lr.lifted().collect():
-            for t1 in range(row["s1"], row["e1"] + 1):
-                lo = row["dmin"] if row["dmin"] is not None else -10**9
-                hi = row["dmax"] if row["dmax"] is not None else 10**9
-                for t2 in range(max(row["s2"], t1 + lo), min(row["e2"], t1 + hi) + 1):
-                    got.add((row["o1"], t1, row["o2"], t2))
+        got = link_points(fig1_interval_ev.eval_link(link).collect())
         assert got == ref_eval(fig1_local, link)
+
+    def test_step_without_middle_witness_is_dropped(self, spark):
+        """``o`` is absent at 3..5. From t1 = 2, ``N[1,3]/<4`` ends at
+        t2 = 3, so ``(N/∃)[1,12]`` cannot reach ``o``'s second existence
+        interval; the composed row must go although its t1 and t3 boxes
+        are both non-empty."""
+        data = ITPGData.build((1, 10), [("o", "A", [(1, 2), (6, 9)], {})], [])
+        link = ast.seq(
+            ast.TestExpr(ast.EXISTS),
+            ast.Repeat(ast.N, 1, 3),
+            ast.TestExpr(ast.LtTest(4)),
+            ast.Repeat(ast.seq(ast.N, ast.EXISTS), 1, 12),
+        )
+        ev = IntervalEvaluator(SparkITPG.from_data(spark, data))
+        got = link_points(ev.eval_link(link).collect())
+        assert got == ref_eval(LocalTPG.from_data(data), link)
 
 
 class TestFragmentBoundaries:
@@ -75,21 +122,10 @@ class TestFragmentBoundaries:
             ast.TestExpr(ast.PathTest(ast.F)), ast.F
         )
         with pytest.raises(UnsupportedFragment):
-            fig1_interval_ev.eval_link(link).df.count()
+            fig1_interval_ev.eval_link(link).count()
 
     def test_structural_repeat_unsupported(self, fig1_interval_ev):
         link = ast.seq(ast.TestExpr(ast.NODE), ast.Repeat(ast.seq(ast.F, ast.F), 0, None))
-        with pytest.raises(UnsupportedFragment):
-            fig1_interval_ev.eval_link(link)
-
-    def test_two_temporal_segments_unsupported(self, fig1_interval_ev):
-        link = ast.seq(
-            ast.TestExpr(ast.NODE),
-            ast.Repeat(ast.seq(ast.N, ast.EXISTS), 0, None),
-            ast.F,
-            ast.F,
-            ast.Repeat(ast.seq(ast.P, ast.EXISTS), 0, None),
-        )
         with pytest.raises(UnsupportedFragment):
             fig1_interval_ev.eval_link(link)
 
@@ -128,13 +164,15 @@ class TestCoalescedOutput:
 
     @pytest.mark.parametrize("name", Q.STRUCTURAL_ONLY)
     def test_structural_queries_are_aligned(self, name, fig1_interval_ev):
+        """No temporal link: every variable sits at t1."""
         ib = eval_match_interval(fig1_interval_ev, Q.query(name))
-        assert not ib.offset
+        assert ib.vars_post == []
 
     @pytest.mark.parametrize("name", [n for n in Q.TABLE2 if n not in Q.STRUCTURAL_ONLY])
     def test_temporal_queries_are_offset(self, name, fig1_interval_ev):
+        """The pattern before the temporal link is captured at t1."""
         ib = eval_match_interval(fig1_interval_ev, Q.query(name))
-        assert ib.offset
+        assert ib.vars_pre
 
 
 class TestVariableSides:

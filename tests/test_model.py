@@ -3,7 +3,7 @@ import pandas as pd
 import pytest
 
 from repro.tpg.figure1 import figure1
-from repro.tpg.model import ITPGData, SparkITPG, merge_data
+from repro.tpg.model import ITPGData, SparkITPG
 
 
 def tiny(**overrides):
@@ -111,18 +111,6 @@ class TestPointTables:
         n6 = nodes_pt[nodes_pt["id"] == "n6"].set_index("t")
         assert n6.loc[8, "test"] == "neg"
         assert n6.loc[9, "test"] == "pos"
-
-
-class TestMerge:
-    def test_merge_disjoint(self):
-        a = tiny()
-        b = ITPGData.build((1, 10), [("c", "Room", [(1, 4)], {})], [])
-        m = merge_data((1, 10), [a, b])
-        assert set(m.objects["id"]) == {"a", "b", "e", "c"}
-
-    def test_merge_conflict_rejected(self):
-        with pytest.raises(ValueError):
-            merge_data((1, 10), [tiny(), tiny()])
 
 
 class TestSparkRepresentations:

@@ -17,6 +17,7 @@ from repro.trpq import ast
 from repro.trpq.interval_eval import IntervalEvaluator, UnsupportedFragment
 from repro.trpq.semantics import LocalTPG, eval_path
 from repro.trpq.spark_eval import PointEvaluator
+from tests.test_interval_eval import link_points
 
 
 def random_graph(rng: random.Random, n_nodes=5, n_edges=6, horizon=8) -> ITPGData:
@@ -113,6 +114,16 @@ FRAGMENT_LINKS = [
         ast.Repeat(ast.seq(ast.N, ast.EXISTS), 0, None),
         ast.TestExpr(ast.PropTest("p", "v")),
     ),
+    # several temporal segments: P, then structure, then N
+    lambda rng: ast.seq(
+        ast.TestExpr(ast.EXISTS),
+        ast.Repeat(ast.seq(ast.P, ast.EXISTS), rng.randint(0, 1), rng.choice([None, 2])),
+        ast.F,
+        ast.TestExpr(ast.EXISTS),
+        ast.F,
+        ast.Repeat(ast.N, rng.randint(0, 1), rng.randint(1, 3)),
+        ast.TestExpr(ast.EXISTS),
+    ),
 ]
 
 
@@ -125,17 +136,10 @@ def test_random_interval_eval_matches_reference(spark, seed):
     for mk in FRAGMENT_LINKS:
         link = mk(rng)
         try:
-            lr = ev.eval_link(link)
+            rows = ev.eval_link(link).collect()
         except UnsupportedFragment:
             continue
-        got = set()
-        for row in lr.lifted().collect():
-            lo = row["dmin"] if row["dmin"] is not None else -(10**9)
-            hi = row["dmax"] if row["dmax"] is not None else 10**9
-            for t1 in range(row["s1"], row["e1"] + 1):
-                for t2 in range(max(row["s2"], t1 + lo), min(row["e2"], t1 + hi) + 1):
-                    got.add((row["o1"], t1, row["o2"], t2))
-        assert got == eval_path(local, link), f"seed={seed} link={link}"
+        assert link_points(rows) == eval_path(local, link), f"seed={seed} link={link}"
 
 
 # ---------------------------------------------------------- algebraic laws

@@ -6,7 +6,6 @@ from repro.tpg import interval as iv
 from repro.tpg.sparkutil import (
     coalesce_intervals,
     complement_intervals,
-    explode_points,
     intersect_intervals,
 )
 
@@ -63,8 +62,3 @@ def test_complement_uncoalesced_input(spark):
     got = collect_fams(complement_intervals(df, ids, 1, 10))
     assert got == {"x": [(5, 7), (9, 10)]}
 
-
-def test_explode_points(spark):
-    df = iv_df(spark, [("x", 2, 4), ("y", 7, 7)])
-    got = {(r["id"], r["t"]) for r in explode_points(df).collect()}
-    assert got == {("x", 2), ("x", 3), ("x", 4), ("y", 7)}
