@@ -59,9 +59,12 @@ def spark() -> SparkSession:
     pre-JVM-launch). Configs that *are* honoured post-launch (shuffle
     partitions, Arrow, broadcast threshold, no console progress bars) are
     set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    Automatic broadcast joins are disabled so papers about shuffle/join
+    algorithms actually exercise the shuffle path at SF~=0.1; a
+    reproduction that wants a broadcast join sets the threshold back for
+    that query. The global threshold stays -1 here: the interval
+    evaluator's explicit ``F.broadcast`` hints on the static graph side
+    apply regardless of it.
     """
     s = (
         SparkSession.builder.appName("repro")

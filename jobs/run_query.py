@@ -1,5 +1,5 @@
-"""Run any named query (Q1–Q12, INTRO, Q7R) or an ad-hoc MATCH clause on a
-G-lite graph or the Figure 1 example, printing the binding table.
+"""Run any named query (Q1–Q12, INTRO, Q7R, NEAR) or an ad-hoc MATCH clause
+on a G-lite graph or the Figure 1 example, printing the binding table.
 
 Usage::
 

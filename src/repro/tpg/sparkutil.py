@@ -38,11 +38,14 @@ def intersect_intervals(
 ) -> DataFrame:
     """Per-key interval intersection: ``a``'s rows with ``[s, e]`` narrowed
     by each ``(on..., s, e)`` row of ``b`` on the same key. Output rows keep
-    ``a``'s columns and are the non-empty overlaps."""
+    ``a``'s columns and are the non-empty overlaps.
+
+    ``b`` is the static side (a test table derived from the graph) and is
+    broadcast by hint, so the join needs no shuffle of ``a``."""
     bb = b.selectExpr(*[f"`{c}`" for c in on], f"{s} AS _b_s", f"{e} AS _b_e")
     narrowed = {s: f"greatest({s}, _b_s) AS {s}", e: f"least({e}, _b_e) AS {e}"}
     return (
-        a.join(bb, on=on)
+        a.join(F.broadcast(bb), on=on)
         .selectExpr(*[narrowed.get(c, f"`{c}`") for c in a.columns])
         .filter(f"{s} <= {e}")
     )

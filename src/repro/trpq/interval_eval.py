@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from ..tpg.model import SparkITPG
@@ -127,17 +127,36 @@ def _contains_temporal(path: ast.Path) -> bool:
     return False
 
 
+def _static_pred(test: ast.Test) -> Optional[Column]:
+    """A predicate over ``g.objects`` for a test whose truth does not
+    depend on time (``Node``, ``Edge``, labels, and ``∧``/``∨`` of these),
+    else ``None``. Such a test is one filter, not a join per conjunct."""
+    if isinstance(test, ast.NodeTest):
+        return F.col("kind") == "node"
+    if isinstance(test, ast.EdgeTest):
+        return F.col("kind") == "edge"
+    if isinstance(test, ast.LabelTest):
+        return F.col("label") == test.label
+    if isinstance(test, (ast.AndTest, ast.OrTest)):
+        left, right = _static_pred(test.left), _static_pred(test.right)
+        if left is not None and right is not None:
+            return left & right if isinstance(test, ast.AndTest) else left | right
+    return None
+
+
 class IntervalEvaluator:
-    """Evaluates the Section VI fragment over a :class:`SparkITPG`."""
+    """Evaluates the Section VI fragment over a :class:`SparkITPG`.
+
+    Nothing is cached here: test tables are memoised as DataFrame plans
+    over the graph's cached tables, and every join against the static
+    graph side (test tables, the F/B hop, existence intervals) is a
+    broadcast hash join by hint.
+    """
 
     def __init__(self, g: SparkITPG):
         self.g = g
         self._tmemo: dict[ast.Test, DataFrame] = {}
-        self.edges = (
-            g.objects.filter(F.col("kind") == "edge")
-            .select("id", "src", "tgt")
-            .cache()
-        )
+        self.edges = g.objects.filter(F.col("kind") == "edge").select("id", "src", "tgt")
 
     # -------------------------------------------------------- test tables
     def test_table(self, test: ast.Test) -> DataFrame:
@@ -150,12 +169,9 @@ class IntervalEvaluator:
         full = lambda df: df.select(  # noqa: E731
             "id", F.lit(lo).cast("long").alias("s"), F.lit(hi).cast("long").alias("e")
         )
-        if isinstance(test, ast.NodeTest):
-            out = full(g.objects.filter(F.col("kind") == "node"))
-        elif isinstance(test, ast.EdgeTest):
-            out = full(g.objects.filter(F.col("kind") == "edge"))
-        elif isinstance(test, ast.LabelTest):
-            out = full(g.objects.filter(F.col("label") == test.label))
+        pred = _static_pred(test)
+        if pred is not None:
+            out = full(g.objects.filter(pred))
         elif isinstance(test, ast.ExistsTest):
             out = g.exist.select("id", "s", "e")
         elif isinstance(test, ast.PropTest):
@@ -189,7 +205,6 @@ class IntervalEvaluator:
             )
         else:
             raise TypeError(f"unknown test {test!r}")
-        out = out.cache()
         self._tmemo[test] = out
         return out
 
@@ -260,7 +275,7 @@ class IntervalEvaluator:
         hop = self.edges.selectExpr(f"{src} AS o2", "id AS _new").unionByName(
             self.edges.selectExpr("id AS o2", f"{tgt} AS _new")
         )
-        return state.join(hop, "o2").selectExpr("o1", "_new AS o2", *REL_COLS[2:])
+        return state.join(F.broadcast(hop), "o2").selectExpr("o1", "_new AS o2", *REL_COLS[2:])
 
     def _apply_temporal(self, state: DataFrame, atom: _TemporalAtom) -> DataFrame:
         """Step 2: interval arithmetic for a temporal navigation block.
@@ -277,7 +292,7 @@ class IntervalEvaluator:
         if atom.hi is None or atom.hi >= 1:
             if atom.require_exist:
                 ex = self.g.exist.selectExpr("id AS o2", "s AS _a", "e AS _b")
-                base, a, b = state.join(ex, "o2"), "_a", "_b"
+                base, a, b = state.join(F.broadcast(ex), "o2"), "_a", "_b"
             else:
                 base, (a, b) = state, map(str, self.g.omega)
             lo1, hi = max(atom.lo, 1), atom.hi

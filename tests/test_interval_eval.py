@@ -2,6 +2,7 @@
 fragment boundaries and the coalesced-output conventions of Table II."""
 import pytest
 
+from repro.tpg.generator import contact_tracing
 from repro.tpg.model import ITPGData, SparkITPG
 from repro.trpq import ast
 from repro.trpq import queries as Q
@@ -10,6 +11,7 @@ from repro.trpq.match import (
     eval_match_interval,
     eval_match_local,
     out_columns,
+    segment_asts,
 )
 from repro.trpq.semantics import LocalTPG, eval_path as ref_eval
 from tests.conftest import ALL_QUERIES
@@ -91,6 +93,25 @@ class TestLinkRelations:
             ast.Repeat(ast.P, 0, 2),
             ast.TestExpr(ast.EXISTS),
         ),
+        # static tests folded into one filter over the objects
+        ast.seq(
+            ast.TestExpr(ast.AndTest(ast.NODE, ast.LabelTest("Person"))),
+            ast.B,
+            ast.TestExpr(ast.EXISTS),
+        ),
+        ast.seq(
+            ast.TestExpr(ast.AndTest(ast.LabelTest("meets"), ast.EXISTS)),
+            ast.F,
+            ast.TestExpr(ast.AndTest(ast.NODE, ast.LabelTest("Person"))),
+        ),
+        ast.seq(
+            ast.TestExpr(ast.NODE),
+            ast.F,
+            ast.TestExpr(ast.OrTest(ast.LabelTest("meets"), ast.LabelTest("visits"))),
+            ast.F,
+            ast.TestExpr(ast.OrTest(ast.LabelTest("Person"), ast.LabelTest("Room"))),
+        ),
+        ast.seq(ast.TestExpr(ast.NotTest(ast.LabelTest("Person"))), ast.B),
     ]
 
     @pytest.mark.parametrize("idx", range(len(LINKS)))
@@ -114,6 +135,68 @@ class TestLinkRelations:
         ev = IntervalEvaluator(SparkITPG.from_data(spark, data))
         got = link_points(ev.eval_link(link).collect())
         assert got == ref_eval(LocalTPG.from_data(data), link)
+
+
+def _executed_plan_nodes(df) -> list[str]:
+    """Class names of the nodes of ``df``'s executed plan, cached inputs
+    included. ``df`` is collected first; both the initial and the final
+    adaptive plan are walked, since on a small graph adaptive execution
+    may drop a join whose input came out empty."""
+    df.collect()
+    names, stack = [], [df._jdf.queryExecution().executedPlan()]
+    while stack:
+        node = stack.pop()
+        name = node.getClass().getSimpleName()
+        if name == "AdaptiveSparkPlanExec":
+            stack += [node.initialPlan(), node.executedPlan()]
+        elif name.endswith("QueryStageExec"):
+            stack.append(node.plan())
+        elif name == "InMemoryTableScanExec":
+            stack.append(node.relation().cacheBuilder().cachedPlan())
+        else:
+            names.append(name)
+            kids = node.children()
+            stack.extend(kids.apply(i) for i in range(kids.size()))
+    return names
+
+
+class TestPhysicalPlan:
+    """Steps 1–2 join the static graph side by broadcast even with
+    automatic broadcasting off, and the evaluator caches nothing."""
+
+    @pytest.mark.parametrize("name", ALL_QUERIES)
+    def test_links_have_no_sort_merge_join(self, name, spark, gen_interval_ev):
+        assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
+        for seg in segment_asts(Q.query(name)):
+            nodes = _executed_plan_nodes(gen_interval_ev.eval_link(seg))
+            assert "SortMergeJoinExec" not in nodes, str(seg)
+
+    def test_static_tests_are_one_filter(self, fig1_interval_ev):
+        static = ast.AndTest(
+            ast.NODE, ast.OrTest(ast.LabelTest("Person"), ast.LabelTest("Room"))
+        )
+        nodes = _executed_plan_nodes(fig1_interval_ev.test_table(static))
+        assert not [n for n in nodes if "Join" in n]
+        negated = _executed_plan_nodes(
+            fig1_interval_ev.test_table(ast.NotTest(ast.LabelTest("Person")))
+        )
+        assert "WindowExec" in negated  # the complement_intervals path
+
+    def test_evaluator_leaves_no_cache_entries(self, spark):
+        """On a graph no other test loads: ``cache()`` of a plan that is
+        already cached adds no entry, and two graphs loaded from equal data
+        have equal plans."""
+        g = SparkITPG.from_data(spark, contact_tracing(persons=20, positivity=0.2, seed=23))
+        cm = spark._jsparkSession.sharedState().cacheManager()
+        try:
+            before = cm.numCachedEntries()
+            ib = eval_match_interval(IntervalEvaluator(g), Q.query("Q10"))
+            ib.materialize()
+            ib.df.unpersist(blocking=True)
+            assert cm.numCachedEntries() == before
+        finally:
+            for df in (g.objects, g.exist, g.props):
+                df.unpersist(blocking=True)
 
 
 class TestFragmentBoundaries:
